@@ -35,9 +35,11 @@ bench-smoke:
 bench-scale:
 	$(PYTHON) benchmarks/bench_hotpath.py --scale
 
-## The reduced 1k-request variant CI runs (job: bench-scale-smoke).
+## The reduced 1k-request variant CI runs (job: bench-scale-smoke),
+## including the attached-vs-detached observability-cost gate.
 bench-scale-smoke:
 	$(PYTHON) benchmarks/bench_hotpath.py --scale --smoke
+	$(PYTHON) benchmarks/validate_bench.py
 
 ## HTTP endpoints + SLO monitor + flight recorder over an overload run.
 live-obs-smoke:

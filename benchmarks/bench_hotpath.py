@@ -13,6 +13,10 @@ Guards the two vectorized inference hot paths against regressions:
   speedup (target: >= 5x at 32+ blocks).
 * **Model decode** — end-to-end `greedy_generate` tokens/s on a tiny
   transformer with a KV4 cache, the number a serving stack actually ships.
+* **Observability cost** (``--scale``) — engine µs/step at the 1k scale
+  tier with live observability and the cost ledger attached vs detached,
+  on the tiny scale-bench model and on llama-3-8b; ``validate_bench.py``
+  fails the run above its attached/detached ratio ceiling.
 
 Run standalone (CI ``bench-smoke`` does exactly this)::
 
@@ -67,6 +71,8 @@ SMOKE_SCALE = dict(tiers=(1000,), max_batch=256)
 # Step-overhead speedup floors (vectorized vs scalar engine bookkeeping).
 SCALE_SPEEDUP_FLOOR = 5.0    # full run, 4k+ tier (ISSUE 7 acceptance)
 SCALE_SMOKE_FLOOR = 2.5      # reduced 1k CI variant, noise headroom
+# Attached-vs-detached observability cost: requests, timed repeats per mode.
+OBS_COST = dict(num_requests=1000, repeats=3)
 
 
 def _timeit(fn, repeats: int) -> float:
@@ -341,6 +347,66 @@ def run_scale_bench(tiers=(1000, 4000, 10000), max_batch=512):
     return rows
 
 
+def run_obs_cost_bench(num_requests=1000, max_batch=512, repeats=3):
+    """Live observability's wall cost at a scale tier, per model.
+
+    Serves the same overload trace with live observability (windows,
+    flight recorder, SLO monitor, cost ledger) attached and detached and
+    reports the engine's wall µs per step in each mode, best of
+    ``repeats`` runs.  The reports must be bit-identical: attaching the
+    observer may cost time but never change what it observes.
+    """
+    from repro.model.config import get_model_config
+    from repro.obs import live as live_obs
+    from repro.serving.engine import EngineConfig, ServingEngine
+    from repro.serving.systems import build_system
+
+    rows = []
+    for model in (tiny_config(name="scale-bench"),
+                  get_model_config("llama-3-8b")):
+        best = {False: float("inf"), True: float("inf")}
+        reports = {}
+        for _ in range(repeats):
+            for attached in (False, True):
+                engine = ServingEngine(
+                    model, build_system("comet"),
+                    config=EngineConfig(max_batch=max_batch),
+                )
+                trace = _scale_trace(num_requests)
+                if attached:
+                    live_obs.attach(
+                        window_seconds=1.0, attrib_capacity=num_requests
+                    )
+                # Same GC policy as run_scale_bench: no collector pauses
+                # landing on either mode.
+                gc.collect()
+                gc.disable()
+                t0 = time.perf_counter()
+                try:
+                    report = engine.run(trace)
+                finally:
+                    gc.enable()
+                    if attached:
+                        live_obs.detach()
+                us = (time.perf_counter() - t0) / report.engine_steps * 1e6
+                best[attached] = min(best[attached], us)
+                reports[attached] = report
+        assert reports[True] == reports[False], (
+            f"live observability changed the {model.name} report"
+        )
+        rows.append(
+            {
+                "model": model.name,
+                "requests": int(num_requests),
+                "steps": int(reports[False].engine_steps),
+                "detached_us_per_step": best[False],
+                "attached_us_per_step": best[True],
+                "attached_ratio": best[True] / best[False],
+            }
+        )
+    return rows
+
+
 # ------------------------------------------------------------- harnessing
 
 
@@ -358,8 +424,10 @@ def run_all(smoke: bool = False, scale: bool = False) -> dict:
         "serving": run_serving_bench(**serving_args),
     }
     if scale:
-        results["scale"] = run_scale_bench(
-            **(SMOKE_SCALE if smoke else FULL_SCALE)
+        scale_args = SMOKE_SCALE if smoke else FULL_SCALE
+        results["scale"] = run_scale_bench(**scale_args)
+        results["obs_cost"] = run_obs_cost_bench(
+            max_batch=scale_args["max_batch"], **OBS_COST
         )
 
     kv = results["kvcache"]
@@ -446,6 +514,32 @@ def run_all(smoke: bool = False, scale: bool = False) -> dict:
             "hotpath_scale", {"mode": results["mode"], "rows": sc},
             trajectory="serving",
         )
+        oc = results["obs_cost"]
+        emit(
+            "hotpath_obs_cost",
+            format_table(
+                "Observability cost — engine us/step, live obs attached "
+                "vs detached",
+                ["model", "requests", "steps", "detached us/step",
+                 "attached us/step", "ratio"],
+                [
+                    [r["model"], r["requests"], r["steps"],
+                     r["detached_us_per_step"], r["attached_us_per_step"],
+                     r["attached_ratio"]]
+                    for r in oc
+                ],
+                notes=[
+                    "wall clock of engine.run / steps, all phases, best of "
+                    f"{OBS_COST['repeats']};",
+                    "reports asserted bit-equal; validate_bench.py gates "
+                    "the ratio.",
+                ],
+            ),
+        )
+        emit_json(
+            "hotpath_obs_cost", {"mode": results["mode"], "rows": oc},
+            trajectory="serving",
+        )
     for name in ("kvcache", "gemm", "decode"):
         emit_json(f"hotpath_{name}", {"mode": results["mode"], "rows": results[name]})
     # Simulated serving numbers are deterministic, so they also feed the
@@ -509,7 +603,8 @@ def main() -> None:
         action="store_true",
         help="also run the high-concurrency scaling tiers (1k/4k/10k "
         "queued requests; 1k only with --smoke) and enforce the "
-        "step-overhead speedup floor",
+        "step-overhead speedup floor, plus the attached-vs-detached "
+        "observability cost at the 1k tier",
     )
     args = parser.parse_args()
     results = run_all(smoke=args.smoke, scale=args.scale)

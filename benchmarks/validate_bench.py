@@ -11,6 +11,10 @@ Usage::
 
     python benchmarks/validate_bench.py [path/to/BENCH_serving.json]
 
+It is also the gate on live observability's cost: every
+``hotpath_obs_cost`` row (attached vs detached engine µs/step at the 1k
+scale tier) must stay at or below :data:`OBS_COST_RATIO_LIMIT`.
+
 Exit status 0 when the document validates, 1 with one line per problem
 otherwise.  The ``test_*`` functions double as the pytest coverage for
 the validator itself (hermetic: they build documents in memory).
@@ -37,6 +41,21 @@ SCALE_ROW_KEYS = frozenset({
     "scalar_overhead_us_per_step", "vectorized_overhead_us_per_step",
     "overhead_speedup",
 })
+
+#: Keys every ``hotpath_obs_cost`` row must carry.
+OBS_COST_ROW_KEYS = frozenset({
+    "model", "requests", "steps", "detached_us_per_step",
+    "attached_us_per_step", "attached_ratio",
+})
+
+#: Ceiling on attached / detached engine µs/step at the 1k tier.  Set from
+#: the measurement after the free-list gauges stopped scanning the pool
+#: (2-vCPU x86-64 VM, smoke mode, best of 3, five runs): 2.7-3.2x on the
+#: tiny scale-bench model (31.3M-block pool), 1.3-1.7x on llama-3-8b.
+#: 4.0 leaves 25% headroom over the worst run.  Before that fix
+#: llama-3-8b ran 15.9x slower attached and the scale-bench run did not
+#: finish in minutes (2.2 s per heartbeat).
+OBS_COST_RATIO_LIMIT = 4.0
 
 #: The attribution fraction keys (repro.obs.attrib ATTRIBUTION_KEYS —
 #: spelled out so this gate has no src/ import and runs standalone).
@@ -101,6 +120,18 @@ def _check_attribution(name: str, i: int, attribution: object,
         )
 
 
+def _check_obs_cost(name: str, i: int, ratio: object,
+                    errors: list) -> None:
+    if not isinstance(ratio, (int, float)) or isinstance(ratio, bool):
+        errors.append(f"{name}: rows[{i}].attached_ratio is not numeric")
+    elif not 0.0 < ratio <= OBS_COST_RATIO_LIMIT:
+        errors.append(
+            f"{name}: rows[{i}].attached_ratio={ratio:.2f} outside "
+            f"(0, {OBS_COST_RATIO_LIMIT:g}]: live observability costs too "
+            "much per step"
+        )
+
+
 def validate(doc: object) -> list:
     """All schema problems with a ``BENCH_serving.json`` document."""
     errors: list = []
@@ -126,6 +157,11 @@ def validate(doc: object) -> list:
                     )
         elif name == "hotpath_scale":
             _check_rows(name, payload, SCALE_ROW_KEYS, errors)
+        elif name == "hotpath_obs_cost":
+            rows = _check_rows(name, payload, OBS_COST_ROW_KEYS, errors)
+            for i, row in enumerate(rows):
+                if isinstance(row, dict) and "attached_ratio" in row:
+                    _check_obs_cost(name, i, row["attached_ratio"], errors)
         # Unknown benchmark names are allowed (future emitters) as long as
         # they keep the {mode, rows} envelope.
         else:
@@ -197,6 +233,28 @@ def test_rejects_empty_rows_and_bad_mode():
     errors = validate(doc)
     assert any("non-empty list" in e for e in errors)
     assert any("mode" in e for e in errors)
+
+
+def _obs_cost_row(ratio: float) -> dict:
+    return {
+        "model": "llama-3-8b", "requests": 1000, "steps": 576,
+        "detached_us_per_step": 1000.0,
+        "attached_us_per_step": 1000.0 * ratio, "attached_ratio": ratio,
+    }
+
+
+def test_obs_cost_gate():
+    doc = _good_doc()
+    doc["benchmarks"]["hotpath_obs_cost"] = {
+        "mode": "smoke", "rows": [_obs_cost_row(1.5)],
+    }
+    assert validate(doc) == []
+    rows = doc["benchmarks"]["hotpath_obs_cost"]["rows"]
+    rows.append(_obs_cost_row(OBS_COST_RATIO_LIMIT + 0.5))
+    del rows[0]["steps"]
+    errors = validate(doc)
+    assert any("missing keys" in e and "steps" in e for e in errors)
+    assert any("costs too much" in e for e in errors)
 
 
 def test_committed_document_validates():

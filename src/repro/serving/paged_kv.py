@@ -17,6 +17,14 @@ count and block-capacity live in numpy arrays.  That layout is what lets
 the serving engine grow the whole running batch in one vectorized call
 (:meth:`PagedKVManager.append_token_many`) and read pool utilization in
 O(1) from running counters instead of summing over sequences.
+
+The free list is an ``int32`` LIFO stack with a *low watermark*: the
+stack prefix below the lowest height it ever reached has never been
+popped, so it still holds ``range(low)`` and is never materialized.
+Construction therefore touches no block, no operation costs O(pool), and
+the free-list gauges (:meth:`PagedKVManager.freelist_fragmentation`,
+:meth:`PagedKVManager.refcount_distribution`) cost O(blocks ever taken)
+— the pool's high-water mark of used blocks, not its size.
 """
 
 from __future__ import annotations
@@ -58,7 +66,16 @@ class PagedKVManager:
         self.block_tokens = block_tokens
         self.block_bytes = bytes_per_token * block_tokens
         self.num_blocks = int(total_bytes // self.block_bytes)
-        self._free = list(range(self.num_blocks))
+        if self.num_blocks > np.iinfo(np.int32).max:
+            raise ValueError(f"{self.num_blocks} blocks overflow int32 ids")
+        # Free list: an int32 LIFO stack, top at ``_stack[_nfree - 1]``.
+        # ``_stack[:_low]`` has never been popped, so it implicitly holds
+        # ``range(_low)`` and is only written when a pop first reaches it;
+        # every other free id (and every live one) is >= ``_low``.
+        self._stack = np.empty(self.num_blocks, dtype=np.int32)
+        self._nfree = self.num_blocks
+        self._low = self.num_blocks
+        self._frag: float | None = None  # freelist_fragmentation cache
         # Per-block reference counts, indexed by block id (0 == free).
         # An array instead of a dict so allocate/free touch the whole
         # block span of a sequence in one fancy-indexed operation.
@@ -83,7 +100,7 @@ class PagedKVManager:
 
     @property
     def free_blocks(self) -> int:
-        return len(self._free)
+        return self._nfree
 
     @property
     def used_blocks(self) -> int:
@@ -105,7 +122,9 @@ class PagedKVManager:
         return -(-tokens // self.block_tokens)
 
     def can_allocate(self, tokens: int) -> bool:
-        return self.blocks_needed(tokens) <= self.free_blocks
+        """Whether :meth:`allocate` of ``tokens`` would succeed (a sequence
+        holds at least one block, even with zero tokens)."""
+        return self.blocks_needed(max(tokens, 1)) <= self.free_blocks
 
     def utilization(self) -> float:
         """Fraction of allocated token slots actually holding tokens —
@@ -124,23 +143,36 @@ class PagedKVManager:
 
         0.0 means every free block sits in one contiguous id range (a
         fresh or fully-drained pool); values near 1.0 mean the LIFO churn
-        of allocate/free has interleaved live and free blocks.  Paged
-        attention gathers per block so this costs nothing *here* — the
-        gauge exists because the ROADMAP's prefix-caching and defrag
-        items need the decision signal."""
-        n = len(self._free)
-        if n <= 1:
-            return 0.0
-        ids = np.sort(np.asarray(self._free, dtype=np.int64))
+        of allocate/free has interleaved live and free blocks.
+
+        Cost: O(blocks ever taken), not O(pool).  The never-popped stack
+        prefix is one known run ``range(low)``; only the ids above it are
+        sorted, and the first of their runs is merged with it when they
+        touch.  The value is cached until the next allocate/free, so
+        heartbeats between block-boundary crossings cost O(1)."""
+        if self._frag is None:
+            self._frag = self._freelist_fragmentation()
+        return self._frag
+
+    def _freelist_fragmentation(self) -> float:
+        n, low = self._nfree, self._low
+        if n <= 1 or n == low:
+            return 0.0  # at most one free block, or exactly range(low)
+        ids = np.sort(self._stack[low:n])
         breaks = np.flatnonzero(np.diff(ids) != 1)
-        bounds = np.concatenate(([-1], breaks, [n - 1]))
-        longest = int(np.max(np.diff(bounds)))
+        runs = np.diff(np.concatenate(([-1], breaks, [ids.size - 1])))
+        if ids[0] == low:
+            runs[0] += low
+        longest = max(int(runs.max()), low)
         return 1.0 - longest / n
 
     def refcount_distribution(self) -> dict[int, int]:
         """Histogram of live block refcounts ``{refcount: blocks}`` — the
-        pool-level sharing profile (rc > 1 = prefix-shared blocks)."""
-        live = self._rc[self._rc > 0]
+        pool-level sharing profile (rc > 1 = prefix-shared blocks).
+        Scans only ids >= the free stack's low watermark: O(blocks ever
+        taken)."""
+        rc = self._rc[self._low:]
+        live = rc[rc > 0]
         counts, freq = np.unique(live, return_counts=True)
         return {int(c): int(f) for c, f in zip(counts, freq)}
 
@@ -204,7 +236,7 @@ class PagedKVManager:
             )
         full = shared // self.block_tokens
         tail_tokens = shared - full * self.block_tokens
-        if tail_tokens and not self._free:
+        if tail_tokens and not self._nfree:
             return False
         parent_blocks = self._blocks_at[parent_row]
         assert parent_blocks is not None
@@ -214,7 +246,7 @@ class PagedKVManager:
             self._rc[idx] += 1
             self._shared_blocks += int(np.count_nonzero(self._rc[idx] == 2))
         if tail_tokens:
-            blocks = blocks + [self._take_block()]  # copy of the tail block
+            blocks = blocks + self._take_blocks(1)  # copy of the tail block
         self._install(child_id, list(blocks), shared)
         return True
 
@@ -231,17 +263,17 @@ class PagedKVManager:
         blocks = self._blocks_at[row]
         assert blocks is not None
         if self._tokens[row] + 1 > self._block_capacity[row] * self.block_tokens:
-            if not self._free:
+            if not self._nfree:
                 return False
-            blocks.append(self._take_block())
+            blocks += self._take_blocks(1)
             self._block_capacity[row] += 1
             self._block_refs += 1
         elif blocks and self._rc[blocks[-1]] > 1:
             # Copy-on-write: the tail block is shared and about to change.
-            if not self._free:
+            if not self._nfree:
                 return False
             old = blocks[-1]
-            blocks[-1] = self._take_block()
+            blocks[-1:] = self._take_blocks(1)
             self._release_block(old)
             if obs.enabled():
                 obs.metrics().counter(
@@ -273,12 +305,13 @@ class PagedKVManager:
         need = self._tokens[rows] >= self._block_capacity[rows] * self.block_tokens
         crossing = rows[need]
         if crossing.size:
-            if crossing.size > len(self._free):
+            if crossing.size > self._nfree:
                 return False
-            for row in crossing:
+            taken = self._take_blocks(int(crossing.size))
+            for row, block in zip(crossing.tolist(), taken):
                 blocks = self._blocks_at[row]
                 assert blocks is not None
-                blocks.append(self._take_block())
+                blocks.append(block)
             self._block_capacity[crossing] += 1
             self._block_refs += int(crossing.size)
         self._tokens[rows] += 1
@@ -298,7 +331,7 @@ class PagedKVManager:
                 # No block anywhere is shared, so every refcount here is
                 # exactly 1: the whole table returns to the pool.
                 self._rc[blocks] = 0
-                self._free.extend(blocks)
+                self._push(blocks)
             else:
                 # Bulk release: one fancy-indexed decrement over the block
                 # table (no duplicates within one sequence), then return
@@ -308,11 +341,7 @@ class PagedKVManager:
                 self._rc[idx] -= 1
                 after = self._rc[idx]
                 self._shared_blocks -= int(np.count_nonzero(after == 1))
-                dead = after == 0
-                if dead.all():
-                    self._free.extend(blocks)
-                elif dead.any():
-                    self._free.extend(int(b) for b in idx[dead])
+                self._push(idx[after == 0])
         self._block_refs -= len(blocks)
         self._total_tokens -= int(self._tokens[row])
         self._blocks_at[row] = None
@@ -345,38 +374,45 @@ class PagedKVManager:
         self._total_tokens += tokens
         self._block_refs += len(blocks)
 
-    def _take_block(self) -> int:
-        b = self._free.pop()
-        self._rc[b] = 1
-        if obs.enabled():
-            obs.metrics().counter(
-                "serving.kv_blocks_allocated_total",
-                obs.metric_help("serving.kv_blocks_allocated_total"),
-            ).inc()
-        return b
-
     def _take_blocks(self, n: int) -> list[int]:
-        """Pop ``n`` blocks from the free list in one slice — same block
-        ids, same order, same end state as ``n`` :meth:`_take_block`
-        calls (the free list is LIFO, so the slice is reversed)."""
+        """Pop ``n`` blocks off the free stack in one slice — same block
+        ids, same order, same end state as ``n`` single pops (the stack
+        is LIFO, so the slice is reversed).  The caller checks that ``n``
+        blocks are free."""
         if n <= 0:
             return []
-        blocks = self._free[: -n - 1 : -1]
-        del self._free[-n:]
-        self._rc[blocks] = 1
+        top = self._nfree
+        base = top - n
+        if base < self._low:  # first pop into the implicit range(low)
+            self._stack[base:self._low] = np.arange(
+                base, self._low, dtype=np.int32
+            )
+            self._low = base
+        taken = self._stack[base:top]
+        self._rc[taken] = 1
+        self._nfree = base
+        self._frag = None
         if obs.enabled():
             obs.metrics().counter(
                 "serving.kv_blocks_allocated_total",
                 obs.metric_help("serving.kv_blocks_allocated_total"),
             ).inc(n)
-        return blocks
+        return taken[::-1].tolist()
+
+    def _push(self, blocks: Sequence[int] | np.ndarray) -> None:
+        """Return ``blocks`` to the free stack in order (the last one is
+        the next to be popped)."""
+        top = self._nfree + len(blocks)
+        self._stack[self._nfree:top] = blocks
+        self._nfree = top
+        self._frag = None
 
     def _release_block(self, block: int) -> None:
         rc = self._rc[block] = self._rc[block] - 1
         if rc == 1:
             self._shared_blocks -= 1
         elif rc == 0:
-            self._free.append(block)
+            self._push([block])
 
     # ------------------------------------------------------------------
     # Introspection
@@ -404,7 +440,7 @@ class PagedKVManager:
     def _refcount(self) -> dict[int, int]:
         """Live per-block refcounts as a dict (introspection/leak checks;
         the authoritative store is the ``_rc`` array)."""
-        live = np.flatnonzero(self._rc)
+        live = np.flatnonzero(self._rc[self._low:]) + self._low
         return {int(b): int(self._rc[b]) for b in live}
 
     def block_refcount(self, seq_id: int) -> list[int]:

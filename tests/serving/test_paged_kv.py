@@ -48,6 +48,16 @@ class TestAllocation:
         assert not m.allocate(1, tokens=100)
         assert m.free_blocks == 2
 
+    def test_can_allocate_agrees_with_allocate_for_zero_tokens(self):
+        """An empty sequence still holds one block, so a full pool can
+        admit it neither way."""
+        m = manager(blocks=2, block_tokens=4)
+        assert m.can_allocate(0) and m.allocate(1, 0)
+        assert m.allocate(2, 4)
+        assert m.free_blocks == 0
+        assert not m.can_allocate(0)
+        assert not m.allocate(3, 0)
+
     def test_append_grows_blocks(self):
         m = manager()
         m.allocate(1, 4)  # exactly one block
