@@ -7,12 +7,16 @@ Guards the two vectorized inference hot paths against regressions:
   tail.  The bench appends one token and reads the full cache at growing
   history lengths, for the incremental path and for the O(history)
   full-redequant reference; per-step cost must stay flat in history length.
-* **Batched packed W4Ax GEMM** — `PackedW4AxGEMM.run` executes all blocks
-  of one precision per stacked matmul; the bench sweeps channel-block
-  counts against the per-block loop (`run_per_block`) and reports the
-  speedup (target: >= 5x at 32+ blocks).
+* **Stacked packed W4Ax GEMM** — `PackedW4AxGEMM.run` executes every
+  channel block, W4A4 and W4A8 alike, in one stacked matmul; the bench
+  sweeps channel-block counts against a one-block-at-a-time loop over the
+  same packed storage (`_per_block_gemm`) and reports the speedup (target:
+  >= 5x at 32+ blocks).
 * **Model decode** — end-to-end `greedy_generate` tokens/s on a tiny
-  transformer with a KV4 cache, the number a serving stack actually ships.
+  transformer with a KV4 cache, unquantized (`model="fp"`) and
+  FMPQ-quantized (`model="fmpq"`, every linear a W4Ax GEMM), the number a
+  serving stack actually ships.  The rows also land in
+  ``BENCH_serving.json``.
 * **Observability cost** (``--scale``) — engine µs/step at the 1k scale
   tier with live observability and the cost ledger attached vs detached,
   on the tiny scale-bench model and on llama-3-8b; ``validate_bench.py``
@@ -38,13 +42,21 @@ import time
 import numpy as np
 
 from bench_util import emit, emit_json, format_table, maybe_emit_metrics
+from repro.api import quantize_model
 from repro.core.blockwise import (
     BlockConfig,
     BlockPrecisionPlan,
     quantize_activation_blocks,
 )
+from repro.core.intquant import pack_int4, unpack_int4
 from repro.core.kvquant import KVQuantConfig
 from repro.core.weightquant import quantize_weight
+from repro.data.corpus import SyntheticCorpus
+from repro.kernels.conversion import (
+    FAST_CONVERSION_SCALE_DIVISOR,
+    fast_int4to8,
+    pack_int4_words_swapped,
+)
 from repro.kernels.functional import PackedW4AxGEMM
 from repro.model.config import tiny_config
 from repro.model.generation import greedy_generate
@@ -126,6 +138,39 @@ def run_kvcache_bench(
 # -------------------------------------------------------------------- GEMM
 
 
+def _per_block_gemm(qweight, plan):
+    """The pre-stacking execution as a baseline: packed groups stored once,
+    then one Python iteration per channel block — on-the-fly conversion of
+    that block's group (fast INT4->INT8 for W4A8 blocks, nibble unpack for
+    W4A4 blocks), an int64 matmul, and a float32 scale-and-add."""
+    groups = range(qweight.num_groups)
+    packed = [
+        pack_int4_words_swapped(qweight.group_codes(b)) if plan.is_high[b]
+        else pack_int4(qweight.group_codes(b))
+        for b in groups
+    ]
+
+    def run(qact):
+        out = np.zeros((qact.num_tokens, qweight.out_features),
+                       dtype=np.float32)
+        for b in groups:
+            if plan.is_high[b]:
+                w = fast_int4to8(packed[b]).astype(np.int64)
+                divisor = int(FAST_CONVERSION_SCALE_DIVISOR)
+            else:
+                w = unpack_int4(packed[b]).astype(np.int64)
+                divisor = 1
+            acc = qact.block_codes(b).astype(np.int64) @ w.T // divisor
+            out += (
+                acc.astype(np.float32)
+                * qact.block_scales(b)[:, None]
+                * qweight.group_scales(b)[None, :]
+            )
+        return out
+
+    return run
+
+
 def run_gemm_bench(
     blocks=(4, 8, 16, 32, 64),
     tokens=4,
@@ -134,7 +179,7 @@ def run_gemm_bench(
     repeats=30,
     high_fraction=0.25,
 ):
-    """Batched vs per-block packed-GEMM latency across channel-block counts."""
+    """Stacked vs per-block packed-GEMM latency across channel-block counts."""
     rng = np.random.default_rng(1)
     rows = []
     for nblocks in blocks:
@@ -148,9 +193,10 @@ def run_gemm_bench(
         )
         qact = quantize_activation_blocks(x, plan)
         gemm = PackedW4AxGEMM(qw, plan=plan)
-        assert np.array_equal(gemm.run(qact), gemm.run_per_block(qact))
+        per_block = _per_block_gemm(qw, plan)
+        assert np.array_equal(gemm.run(qact), per_block(qact))
         batched_s = _timeit(lambda: gemm.run(qact), repeats)
-        per_block_s = _timeit(lambda: gemm.run_per_block(qact), repeats)
+        per_block_s = _timeit(lambda: per_block(qact), repeats)
         rows.append(
             {
                 "blocks": int(nblocks),
@@ -166,28 +212,38 @@ def run_gemm_bench(
 
 
 def run_decode_bench(prompts=(16, 64, 256), new_tokens=32):
-    """End-to-end KV4 greedy decode tokens/s on a tiny transformer."""
+    """End-to-end KV4 greedy decode tokens/s on a tiny transformer, once
+    unquantized (``model="fp"``) and once FMPQ-quantized (``"fmpq"``)."""
     max_len = max(prompts) + new_tokens + 1
     config = tiny_config(name="hotpath-bench", max_seq_len=max_len)
-    model = Transformer(config)
+    qm = quantize_model(
+        Transformer(config),
+        SyntheticCorpus(vocab_size=config.vocab_size, seed=0),
+        group_size=16,
+        calib_seq_len=min(64, max_len),
+    )
+    models = {
+        "fp": (Transformer(config), KVQuantConfig()),
+        "fmpq": (qm.model, qm.report.kv_config),
+    }
     rng = np.random.default_rng(2)
     rows = []
     for plen in prompts:
         prompt = rng.integers(0, config.vocab_size, size=plen)
-        t0 = time.perf_counter()
-        out = greedy_generate(
-            model, prompt, new_tokens, kv_config=KVQuantConfig()
-        )
-        elapsed = time.perf_counter() - t0
-        assert out.shape == (new_tokens,)
-        rows.append(
-            {
-                "prompt_tokens": int(plen),
-                "new_tokens": int(new_tokens),
-                "decode_tokens_per_s": new_tokens / elapsed,
-                "us_per_token": elapsed / new_tokens * 1e6,
-            }
-        )
+        for name, (model, kv_config) in models.items():
+            t0 = time.perf_counter()
+            out = greedy_generate(model, prompt, new_tokens, kv_config=kv_config)
+            elapsed = time.perf_counter() - t0
+            assert out.shape == (new_tokens,)
+            rows.append(
+                {
+                    "model": name,
+                    "prompt_tokens": int(plen),
+                    "new_tokens": int(new_tokens),
+                    "decode_tokens_per_s": new_tokens / elapsed,
+                    "us_per_token": elapsed / new_tokens * 1e6,
+                }
+            )
     return rows
 
 
@@ -451,8 +507,8 @@ def run_all(smoke: bool = False, scale: bool = False) -> dict:
     emit(
         "hotpath_gemm",
         format_table(
-            "Hot path — batched vs per-block packed W4Ax GEMM",
-            ["blocks", "batched us", "per-block us", "speedup"],
+            "Hot path — stacked vs per-block packed W4Ax GEMM",
+            ["blocks", "stacked us", "per-block us", "speedup"],
             [
                 [r["blocks"], r["batched_us"], r["per_block_us"], r["speedup"]]
                 for r in gemm
@@ -465,12 +521,13 @@ def run_all(smoke: bool = False, scale: bool = False) -> dict:
         "hotpath_decode",
         format_table(
             "Hot path — KV4 greedy decode throughput (tiny transformer)",
-            ["prompt", "new tokens", "tokens/s", "us/token"],
+            ["model", "prompt", "new tokens", "tokens/s", "us/token"],
             [
-                [r["prompt_tokens"], r["new_tokens"],
+                [r["model"], r["prompt_tokens"], r["new_tokens"],
                  r["decode_tokens_per_s"], r["us_per_token"]]
                 for r in decode
             ],
+            notes=["fmpq = W4Ax weights and activations, KV4 cache."],
         ),
     )
     serving = results["serving"]
@@ -540,8 +597,12 @@ def run_all(smoke: bool = False, scale: bool = False) -> dict:
             "hotpath_obs_cost", {"mode": results["mode"], "rows": oc},
             trajectory="serving",
         )
-    for name in ("kvcache", "gemm", "decode"):
+    for name in ("kvcache", "gemm"):
         emit_json(f"hotpath_{name}", {"mode": results["mode"], "rows": results[name]})
+    emit_json(
+        "hotpath_decode", {"mode": results["mode"], "rows": decode},
+        trajectory="serving",
+    )
     # Simulated serving numbers are deterministic, so they also feed the
     # canonical root-level BENCH_serving.json trajectory document.
     emit_json(
@@ -568,7 +629,7 @@ def test_hotpath_decode_cost_flat_in_history():
 
 
 def test_hotpath_gemm_batched_beats_per_block():
-    """Batched execution is >= 5x the per-block loop at 32+ blocks."""
+    """Stacked execution is >= 5x the per-block loop at 32+ blocks."""
     rows = run_gemm_bench(**SMOKE_GEMM)
     big = [r for r in rows if r["blocks"] >= 32]
     assert big, rows

@@ -11,6 +11,10 @@ Usage::
 
     python benchmarks/validate_bench.py [path/to/BENCH_serving.json]
 
+``hotpath_decode`` rows (greedy decode tokens/s) must name their
+``model``: ``"fp"`` (unquantized) or ``"fmpq"`` (W4Ax GEMMs, KV4 cache),
+and a section must hold both, so the quantized decode is always measured.
+
 It is also the gate on live observability's cost: every
 ``hotpath_obs_cost`` row (attached vs detached engine µs/step at the 1k
 scale tier) must stay at or below :data:`OBS_COST_RATIO_LIMIT`.
@@ -47,6 +51,15 @@ OBS_COST_ROW_KEYS = frozenset({
     "model", "requests", "steps", "detached_us_per_step",
     "attached_us_per_step", "attached_ratio",
 })
+
+#: Keys every ``hotpath_decode`` row must carry.
+DECODE_ROW_KEYS = frozenset({
+    "model", "prompt_tokens", "new_tokens", "decode_tokens_per_s",
+    "us_per_token",
+})
+
+#: The ``model`` values of ``hotpath_decode`` rows; each must appear.
+DECODE_MODELS = ("fp", "fmpq")
 
 #: Ceiling on attached / detached engine µs/step at the 1k tier.  Set from
 #: the measurement after the free-list gauges stopped scanning the pool
@@ -132,6 +145,21 @@ def _check_obs_cost(name: str, i: int, ratio: object,
         )
 
 
+def _check_decode_models(name: str, rows: list, errors: list) -> None:
+    seen = set()
+    for i, row in enumerate(rows):
+        if isinstance(row, dict) and "model" in row:
+            if row["model"] not in DECODE_MODELS:
+                errors.append(
+                    f"{name}: rows[{i}].model={row['model']!r} not one of "
+                    f"{DECODE_MODELS}"
+                )
+            seen.add(row["model"])
+    missing = [m for m in DECODE_MODELS if m not in seen]
+    if rows and missing:
+        errors.append(f"{name}: no rows for model(s) {missing}")
+
+
 def validate(doc: object) -> list:
     """All schema problems with a ``BENCH_serving.json`` document."""
     errors: list = []
@@ -157,6 +185,9 @@ def validate(doc: object) -> list:
                     )
         elif name == "hotpath_scale":
             _check_rows(name, payload, SCALE_ROW_KEYS, errors)
+        elif name == "hotpath_decode":
+            rows = _check_rows(name, payload, DECODE_ROW_KEYS, errors)
+            _check_decode_models(name, rows, errors)
         elif name == "hotpath_obs_cost":
             rows = _check_rows(name, payload, OBS_COST_ROW_KEYS, errors)
             for i, row in enumerate(rows):
@@ -255,6 +286,28 @@ def test_obs_cost_gate():
     errors = validate(doc)
     assert any("missing keys" in e and "steps" in e for e in errors)
     assert any("costs too much" in e for e in errors)
+
+
+def _decode_row(model: str) -> dict:
+    return {
+        "model": model, "prompt_tokens": 8, "new_tokens": 8,
+        "decode_tokens_per_s": 100.0, "us_per_token": 10000.0,
+    }
+
+
+def test_decode_rows_need_both_models():
+    doc = _good_doc()
+    doc["benchmarks"]["hotpath_decode"] = {
+        "mode": "smoke", "rows": [_decode_row("fp"), _decode_row("fmpq")],
+    }
+    assert validate(doc) == []
+    rows = doc["benchmarks"]["hotpath_decode"]["rows"]
+    rows[1]["model"] = "int8"
+    del rows[0]["model"]
+    errors = validate(doc)
+    assert any("missing keys" in e and "model" in e for e in errors)
+    assert any("'int8' not one of" in e for e in errors)
+    assert any("no rows for model(s) ['fp', 'fmpq']" in e for e in errors)
 
 
 def test_committed_document_validates():

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.fmpq import block_gemm, weight_operand
 from repro.core.intquant import (
     QuantSpec,
     quantize_symmetric,
@@ -65,7 +66,9 @@ class DynamicActLinear:
 
     Activations are quantized symmetrically per token at ``act_spec``;
     weights are group-quantized integers.  The GEMM runs in integer
-    arithmetic per weight group, mirroring a WxAy tensor-core kernel.
+    arithmetic per weight group, mirroring a WxAy tensor-core kernel, on
+    the same stacked stage as FMPQ (:func:`repro.core.fmpq.block_gemm`,
+    every group sharing the token's one activation scale).
     """
 
     def __init__(
@@ -79,6 +82,8 @@ class DynamicActLinear:
         self.act_spec = act_spec
         self.bias = bias
         self.name = name
+        # weight_operand(qweight), built on the first forward.
+        self._operand: np.ndarray | None = None
 
     @property
     def in_features(self) -> int:
@@ -93,18 +98,15 @@ class DynamicActLinear:
         lead = x.shape[:-1]
         flat = x.reshape(-1, self.in_features)
         a_scale = symmetric_scale(flat, self.act_spec, axis=-1)
-        a_codes = quantize_symmetric(flat, a_scale, self.act_spec).astype(np.int64)
-        g = self.qweight.group_size
-        out = np.zeros((flat.shape[0], self.out_features), dtype=np.float32)
-        for gi in range(self.qweight.num_groups):
-            acc = a_codes[:, gi * g : (gi + 1) * g] @ (
-                self.qweight.group_codes(gi).astype(np.int64).T
-            )
-            out += (
-                acc.astype(np.float32)
-                * a_scale
-                * self.qweight.group_scales(gi)[None, :]
-            )
+        a_codes = quantize_symmetric(flat, a_scale, self.act_spec)
+        if self._operand is None:
+            self._operand = weight_operand(self.qweight)
+        out = block_gemm(
+            a_codes,
+            np.broadcast_to(a_scale, (flat.shape[0], self.qweight.num_groups)),
+            self._operand,
+            self.qweight.scales.T,
+        )
         out = out.reshape(*lead, self.out_features)
         if self.bias is not None:
             out = out + self.bias

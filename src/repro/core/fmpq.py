@@ -51,8 +51,11 @@ __all__ = [
     "FMPQConfig",
     "LayerQuantStats",
     "QuantizedLinear",
+    "block_gemm",
+    "block_operand",
     "calibrate_linear",
     "mixed_precision_matmul",
+    "weight_operand",
 ]
 
 
@@ -119,15 +122,115 @@ class LayerQuantStats:
         return 1.0 - self.high_block_fraction
 
 
-def mixed_precision_matmul(
-    qact: QuantizedActivation, qweight: QuantizedWeight
-) -> np.ndarray:
-    """Reference mixed-precision GEMM: ``dequant(qact) @ dequant(qweight).T``
-    computed block-by-block in integer arithmetic.
+#: Elements of one token chunk's ``(blocks, tokens, max(g, out))`` stacks in
+#: :func:`block_gemm`.  Longer inputs run in token chunks, so a long prefill
+#: does not inflate peak memory.
+BLOCK_GEMM_STACK_ELEMENTS = 1 << 18
 
-    Each channel block contributes ``(Aq_b @ Wq_b.T) * s_a[:, b] * s_w[:, b]``
-    where the integer product accumulates in int64 — the numpy stand-in for
-    the tensor core's int32 accumulator.
+
+def block_operand(codes: np.ndarray) -> np.ndarray:
+    """Lay a ``(blocks, out, g)`` weight-code stack out as the float64
+    ``(blocks, g, out)`` operand of :func:`block_gemm`.
+
+    float64 lets numpy dispatch the integer GEMM to BLAS and is still exact:
+    every code product is at most ``128 * 128 = 2**14`` in magnitude, so all
+    partial sums stay far below ``2**53`` and every float64 addition is exact
+    — the accumulator holds the same integers an int32 tensor-core
+    accumulator would, in any summation order.
+    """
+    stack = codes.transpose(0, 2, 1)
+    return np.ascontiguousarray(stack, dtype=np.float64)  # staticcheck: ignore[NUM003] -- exact, see above
+
+
+def weight_operand(qweight: QuantizedWeight) -> np.ndarray:
+    """The :func:`block_operand` of a group-quantized weight, one block per
+    weight group."""
+    return block_operand(
+        qweight.codes.reshape(
+            qweight.out_features, qweight.num_groups, qweight.group_size
+        ).transpose(1, 0, 2)
+    )
+
+
+def _sum_blocks(contrib: np.ndarray) -> np.ndarray:
+    """``0 + contrib[0] + contrib[1] + ...`` in float32, in block order.
+
+    numpy starts the sum from add's identity, ``+0.0``, and reduces the
+    leading axis as an outer loop of elementwise adds, which is sequential
+    in block order — except when the other axes hold a single element,
+    where it sums the lone contiguous axis pairwise.  A zero column keeps
+    the outer loop in that case.
+    """
+    if contrib[0].size == 1:
+        padded = np.concatenate([contrib, np.zeros_like(contrib)], axis=-1)
+        return _sum_blocks(padded)[..., :1]
+    return np.add.reduce(contrib, axis=0)
+
+
+def block_gemm(
+    codes: np.ndarray,
+    act_scales: np.ndarray,
+    operand: np.ndarray,
+    weight_scales: np.ndarray,
+    acc_divisor: np.ndarray | None = None,
+) -> np.ndarray:
+    """The W4Ax GEMM over all channel blocks at once.
+
+    Every block's integer product runs in one stacked matmul
+    ``(blocks, tokens, g) @ (blocks, g, out)``; each block's accumulator is
+    then converted to float32 and scaled as ``(acc * s_a) * s_w``, and the
+    blocks are added in block order in float32.
+
+    Args:
+        codes: integer activation codes ``(tokens, blocks * g)``.
+        act_scales: float32 ``(tokens, blocks)`` activation block scales.
+        operand: float64 ``(blocks, g, out)`` weight codes
+            (:func:`block_operand`).
+        weight_scales: float32 ``(blocks, out)`` weight group scales.
+        acc_divisor: optional ``(blocks,)`` powers of two each block's
+            accumulator is divided by (exactly) before scaling — the fast
+            INT4→INT8 conversion's 16x.
+
+    Returns:
+        float32 ``(tokens, out)``.
+    """
+    blocks, g, out_f = operand.shape
+    tokens = codes.shape[0]
+    a = codes.reshape(tokens, blocks, g).transpose(1, 0, 2)
+    s_a = act_scales.T[:, :, None]
+    s_w = weight_scales[:, None, :]
+    out = np.empty((tokens, out_f), dtype=np.float32)
+    step = max(1, BLOCK_GEMM_STACK_ELEMENTS // max(1, blocks * max(g, out_f)))
+    for t0 in range(0, tokens, step):
+        t = slice(t0, t0 + step)
+        # Exact integer product: |code products| <= 2**14, so every partial
+        # sum is an integer far below 2**53 (see block_operand).
+        acc = a[:, t].astype(np.float64) @ operand  # staticcheck: ignore[NUM001]
+        if acc_divisor is not None:
+            acc /= acc_divisor[:, None, None]
+        contrib = acc.astype(np.float32)
+        contrib *= s_a[:, t]
+        contrib *= s_w
+        out[t] = _sum_blocks(contrib)
+    return out
+
+
+def mixed_precision_matmul(
+    qact: QuantizedActivation,
+    qweight: QuantizedWeight,
+    operand: np.ndarray | None = None,
+) -> np.ndarray:
+    """Mixed-precision GEMM ``dequant(qact) @ dequant(qweight).T`` in integer
+    arithmetic, all channel blocks at once (:func:`block_gemm`).
+
+    Block ``b`` contributes ``(Aq_b @ Wq_b.T) * s_a[:, b] * s_w[:, b]`` with
+    an exact integer product — the numpy stand-in for the tensor core's
+    int32 accumulator.
+
+    Args:
+        qact: block-quantized activation.
+        qweight: group-quantized weight (group size = block size).
+        operand: ``weight_operand(qweight)``, when the caller holds it.
     """
     if qweight.group_size != qact.plan.config.block_size:
         raise ValueError(
@@ -136,18 +239,9 @@ def mixed_precision_matmul(
         )
     if qweight.in_features != qact.plan.num_channels:
         raise ValueError("weight/activation channel mismatch")
-    tokens = qact.num_tokens
-    out = np.zeros((tokens, qweight.out_features), dtype=np.float32)
-    for b in range(qact.plan.num_blocks):
-        a_codes = qact.block_codes(b).astype(np.int64)
-        w_codes = qweight.group_codes(b).astype(np.int64)
-        acc = a_codes @ w_codes.T  # int64 accumulator
-        out += (
-            acc.astype(np.float32)
-            * qact.block_scales(b)[:, None]
-            * qweight.group_scales(b)[None, :]
-        )
-    return out
+    if operand is None:
+        operand = weight_operand(qweight)
+    return block_gemm(qact.codes, qact.scales, operand, qweight.scales.T)
 
 
 @dataclass
@@ -167,6 +261,11 @@ class QuantizedLinear:
     plan: BlockPrecisionPlan
     bias: np.ndarray | None = None
     name: str = ""
+    #: ``weight_operand(qweight)``, built on the first forward: weights are
+    #: fixed after calibration, and a layer that never runs never pays for it.
+    _operand: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def in_features(self) -> int:
@@ -193,7 +292,9 @@ class QuantizedLinear:
             float32 array ``(..., out_features)``.
         """
         qact = self.quantize_input(x)
-        out = mixed_precision_matmul(qact, self.qweight)
+        if self._operand is None:
+            self._operand = weight_operand(self.qweight)
+        out = mixed_precision_matmul(qact, self.qweight, self._operand)
         out = out.reshape(*qact.lead_shape, self.out_features)
         if self.bias is not None:
             out = out + self.bias

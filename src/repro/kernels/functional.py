@@ -1,46 +1,41 @@
 """Functional mixed-precision GEMM through the real storage pipeline.
 
-:func:`repro.core.fmpq.mixed_precision_matmul` is the *reference* numerics.
+:func:`repro.core.fmpq.mixed_precision_matmul` is the served numerics.
 This module executes the same GEMM the way the CUDA kernel actually would —
-from packed storage, through the documented conversion paths — and is
-tested to agree with the reference bit-for-bit:
+from packed storage, through the documented conversion paths — and agrees
+with it bit for bit:
 
-W4A8 path (per INT8 block):
+W4A8 path (INT8 blocks):
     1. weights stored as swapped-order packed words
        (:func:`pack_int4_words_swapped`);
     2. the 2-instruction fast conversion expands them to INT8 at 16x scale
        (:func:`fast_int4to8`);
-    3. the INT8 tensor-core GEMM accumulates in int32/int64;
-    4. the block scale, divided by
-       :data:`FAST_CONVERSION_SCALE_DIVISOR`, dequantizes the accumulator.
+    3. the INT8 tensor-core GEMM accumulates exact integers;
+    4. the accumulator is divided by
+       :data:`FAST_CONVERSION_SCALE_DIVISOR` (exact: it is a multiple of
+       16) before the block scales dequantize it.
 
-W4A4 path (per INT4 block):
+W4A4 path (INT4 blocks):
     weights and activations stay as packed nibbles
     (:func:`repro.core.intquant.pack_int4`) and unpack straight into the
     INT4 tensor-core GEMM.
 
-Execution is **batched by precision** (the vectorized hot path): packed
-groups live in stacked 3-D arrays ``(groups, out, packed_k)``, the channel
-blocks are partitioned into the W4A4 and W4A8 sets once, and each set runs
-as a single stacked integer matmul with the fast conversion applied to the
-whole W4A8 stack at once.  :meth:`PackedW4AxGEMM.run_per_block` keeps the
-original one-block-at-a-time loop as the oracle for the bit-exactness tests
-and the perf-regression harness.
+Packed groups live in stacked arrays ``(groups, out, packed_k)``.  The
+conversion front end turns them into one ``(groups, g, out)`` operand —
+fast-converted W4A8 blocks and unpacked W4A4 blocks side by side — and the
+whole GEMM, every block of both precisions, runs through the shared stage
+:func:`repro.core.fmpq.block_gemm`, as COMET's kernel runs it in one launch.
 
 This is the executable specification of paper Section 4.3.
 """
 
 from __future__ import annotations
 
-# staticcheck: ignore-file[NUM] -- this module's float64 is exact integer
-# arithmetic by construction: code products are <= 2**14, partial sums stay
-# below 2**53, so float64 BLAS accumulates the same integers an int32
-# tensor-core accumulator would (see _matmul_operand).
-
 import numpy as np
 
 import repro.obs as obs
 from repro.core.blockwise import BlockPrecisionPlan, QuantizedActivation
+from repro.core.fmpq import block_gemm, block_operand
 from repro.core.intquant import pack_int4, unpack_int4
 from repro.core.weightquant import QuantizedWeight
 from repro.kernels.conversion import (
@@ -52,34 +47,20 @@ from repro.kernels.conversion import (
 __all__ = ["PackedW4AxGEMM"]
 
 
-def _matmul_operand(stack: np.ndarray) -> np.ndarray:
-    """Lay a ``(groups, out, k)`` code stack out as float64 ``(groups, k, out)``.
-
-    The stacked GEMM runs on float64 operands so numpy dispatches to BLAS.
-    This is still *exact* integer arithmetic: every code product is at most
-    ``128 * 128 = 2**14`` in magnitude, so all partial sums stay far below
-    ``2**53`` and each float64 addition is exact — the accumulator holds the
-    same integers the int32/int64 tensor-core accumulator would, in any
-    summation order.
-    """
-    return np.ascontiguousarray(stack.transpose(0, 2, 1), dtype=np.float64)
-
-
 class PackedW4AxGEMM:
-    """A W4Ax GEMM operating on packed storage, batched by block precision.
+    """A W4Ax GEMM operating on packed storage.
 
     Construction packs the weight once into stacked per-group arrays
     (mirroring the offline weight repacking a serving system performs at
-    load time); :meth:`run` then executes one GEMM against a
-    block-quantized activation as two stacked matmuls — one over all INT4
-    blocks, one over all INT8 blocks.
+    load time); :meth:`run` converts them per the activation's precision
+    plan and executes one stacked GEMM over all blocks.
 
     Args:
         qweight: group-quantized INT4 weight.
         plan: optional activation precision plan.  When the plan is known at
             load time (it is fixed per layer after FMPQ calibration), the
-            block partition and the converted weight stacks are precomputed
-            here so :meth:`run` does no per-call conversion work.
+            converted operand is built here so :meth:`run` does no per-call
+            conversion work.
     """
 
     def __init__(
@@ -101,10 +82,8 @@ class PackedW4AxGEMM:
         # (groups, out) weight scales, leading axis aligned with the stacks.
         self._scales = np.ascontiguousarray(qweight.scales.T)
         self._prepared_plan: BlockPrecisionPlan | None = None
-        self._w8_stack: np.ndarray | None = None
-        self._w4_stack: np.ndarray | None = None
-        self._high_idx: np.ndarray | None = None
-        self._low_idx: np.ndarray | None = None
+        self._operand: np.ndarray | None = None
+        self._divisor: np.ndarray | None = None
         if plan is not None:
             self._prepare_plan(plan)
 
@@ -116,66 +95,25 @@ class PackedW4AxGEMM:
     def in_features(self) -> int:
         return self.qweight.in_features
 
-    def _prepare_plan(self, plan: BlockPrecisionPlan) -> None:
-        """Partition blocks by precision and pre-convert the weight stacks."""
+    def _convert(self, plan: BlockPrecisionPlan) -> tuple[np.ndarray, np.ndarray]:
+        """Conversion front end: the ``(groups, g, out)`` operand and each
+        block's accumulator divisor under ``plan``."""
         if plan.num_blocks != self.qweight.num_groups:
             raise ValueError("plan blocks must match weight groups")
+        high, low = plan.is_high, ~plan.is_high
+        codes = np.empty(self._packed_nibbles.shape[:-1] + (self.group_size,),
+                         dtype=np.int8)
+        # W4A8 blocks: 2-instruction fast conversion, values at 16x.
+        codes[high] = fast_int4to8(self._packed_swapped[high])
+        # W4A4 blocks: plain nibble unpack.
+        codes[low] = unpack_int4(self._packed_nibbles[low])
+        divisor = np.where(high, FAST_CONVERSION_SCALE_DIVISOR, 1.0)
+        return block_operand(codes), divisor
+
+    def _prepare_plan(self, plan: BlockPrecisionPlan) -> None:
+        """Load-time conversion of the whole stack for a known plan."""
+        self._operand, self._divisor = self._convert(plan)
         self._prepared_plan = plan
-        self._high_idx = np.flatnonzero(plan.is_high)
-        self._low_idx = np.flatnonzero(~plan.is_high)
-        # Load-time conversion of the whole stacks, laid out (groups, k, out)
-        # for the stacked matmul.
-        self._w8_stack = _matmul_operand(
-            fast_int4to8(self._packed_swapped[self._high_idx])
-        )
-        self._w4_stack = _matmul_operand(
-            unpack_int4(self._packed_nibbles[self._low_idx])
-        )
-
-    # ------------------------------------------------------ per-block oracle
-
-    def _w4a8_block(self, qact: QuantizedActivation, block: int) -> np.ndarray:
-        """INT8 tensor-core path with on-the-fly fast conversion."""
-        # CUDA-core stage: 2-instruction conversion; values come out at
-        # 16x their INT4 magnitude.
-        w_int8 = fast_int4to8(self._packed_swapped[block]).astype(np.int64)
-        a_int8 = qact.block_codes(block).astype(np.int64)
-        acc = a_int8 @ w_int8.T  # int32 accumulator (int64 in numpy)
-        scale = (
-            qact.block_scales(block)[:, None]
-            * self.qweight.group_scales(block)[None, :]
-            / FAST_CONVERSION_SCALE_DIVISOR
-        )
-        return acc.astype(np.float64) * scale
-
-    def _w4a4_block(self, qact: QuantizedActivation, block: int) -> np.ndarray:
-        """INT4 tensor-core path straight from packed nibbles."""
-        w_int4 = unpack_int4(self._packed_nibbles[block]).astype(np.int64)
-        a_int4 = qact.block_codes(block).astype(np.int64)
-        acc = a_int4 @ w_int4.T
-        scale = (
-            qact.block_scales(block)[:, None]
-            * self.qweight.group_scales(block)[None, :]
-        )
-        return acc.astype(np.float64) * scale
-
-    def run_per_block(self, qact: QuantizedActivation) -> np.ndarray:
-        """The pre-batching execution path: one Python iteration per block.
-
-        Kept as the oracle for the bit-exactness tests and the baseline for
-        ``benchmarks/bench_hotpath.py``; :meth:`run` must agree with this
-        bit-for-bit.
-        """
-        self._validate(qact)
-        out = np.zeros((qact.num_tokens, self.out_features), dtype=np.float64)
-        for b in range(qact.plan.num_blocks):
-            if qact.plan.is_high[b]:
-                out += self._w4a8_block(qact, b)
-            else:
-                out += self._w4a4_block(qact, b)
-        return out.astype(np.float32)
-
-    # ----------------------------------------------------------- batched run
 
     def _validate(self, qact: QuantizedActivation) -> None:
         if qact.plan.config.block_size != self.group_size:
@@ -186,62 +124,27 @@ class PackedW4AxGEMM:
             raise ValueError("channel mismatch")
 
     def run(self, qact: QuantizedActivation) -> np.ndarray:
-        """Execute the mixed-precision GEMM from packed storage, batched.
+        """Execute the mixed-precision GEMM from packed storage.
 
-        All W4A4 blocks run as one stacked int64 matmul and all W4A8 blocks
-        as another (fast conversion applied to the whole stack at once);
-        per-block contributions are then accumulated in the original block
-        order so the result is bit-identical to :meth:`run_per_block`.
+        The converted operand feeds :func:`repro.core.fmpq.block_gemm`, so
+        the result equals :func:`repro.core.fmpq.mixed_precision_matmul` bit
+        for bit.  Without a prepared plan the weights are converted on the
+        fly.
         """
         self._validate(qact)
         plan = qact.plan
-        tokens = qact.num_tokens
-        num_blocks = plan.num_blocks
         if plan is self._prepared_plan:
-            high_idx, low_idx = self._high_idx, self._low_idx
-            w8_stack, w4_stack = self._w8_stack, self._w4_stack
+            operand, divisor = self._operand, self._divisor
         else:
-            high_idx = np.flatnonzero(plan.is_high)
-            low_idx = np.flatnonzero(~plan.is_high)
-            # On-the-fly conversion, whole stack at once per precision.
-            w8_stack = _matmul_operand(fast_int4to8(self._packed_swapped[high_idx]))
-            w4_stack = _matmul_operand(unpack_int4(self._packed_nibbles[low_idx]))
-        # (tokens, blocks, k) view of the activation codes.
-        acodes = qact.codes.reshape(tokens, num_blocks, self.group_size)
-        scales_t = qact.scales.T
-        contrib = np.empty(
-            (num_blocks, tokens, self.out_features), dtype=np.float64
-        )
-        if low_idx.size:
-            a4 = acodes[:, low_idx].transpose(1, 0, 2).astype(np.float64)
-            acc = a4 @ w4_stack  # (L, tokens, out) exact integer values
-            scale = (
-                scales_t[low_idx][:, :, None]
-                * self._scales[low_idx][:, None, :]
-            )
-            contrib[low_idx] = acc * scale
-        if high_idx.size:
-            a8 = acodes[:, high_idx].transpose(1, 0, 2).astype(np.float64)
-            acc = a8 @ w8_stack  # (H, tokens, out) exact integer values
-            scale = (
-                scales_t[high_idx][:, :, None]
-                * self._scales[high_idx][:, None, :]
-                / FAST_CONVERSION_SCALE_DIVISOR
-            )
-            contrib[high_idx] = acc * scale
-        # Accumulate in block order — bit-identical to the per-block loop.
-        out = np.zeros((tokens, self.out_features), dtype=np.float64)
-        for b in range(num_blocks):
-            out += contrib[b]
+            operand, divisor = self._convert(plan)
+        out = block_gemm(qact.codes, qact.scales, operand, self._scales, divisor)
         if obs.enabled():
-            obs.metrics().counter(
+            high = int(plan.is_high.sum())
+            counter = obs.metrics().counter(
                 "kernel.gemm_blocks_batched_total",
                 obs.metric_help("kernel.gemm_blocks_batched_total"),
                 labelnames=("precision",),
-            ).labels(precision="int4").inc(int(low_idx.size))
-            obs.metrics().counter(
-                "kernel.gemm_blocks_batched_total",
-                obs.metric_help("kernel.gemm_blocks_batched_total"),
-                labelnames=("precision",),
-            ).labels(precision="int8").inc(int(high_idx.size))
-        return out.astype(np.float32)
+            )
+            counter.labels(precision="int4").inc(plan.num_blocks - high)
+            counter.labels(precision="int8").inc(high)
+        return out

@@ -1,12 +1,13 @@
 """Kernel self-verification harness.
 
-``verify_kernels`` cross-checks the three implementations of the W4Ax
-numerics on randomized configurations:
+``verify_kernels`` cross-checks the W4Ax numerics on randomized
+configurations:
 
-1. the reference block-wise integer GEMM
-   (:func:`repro.core.fmpq.mixed_precision_matmul`);
+1. the block-wise integer GEMM every quantized linear runs
+   (:func:`repro.core.fmpq.mixed_precision_matmul`) and
 2. the packed-storage execution through the fast-conversion bit tricks
-   (:class:`repro.kernels.functional.PackedW4AxGEMM`);
+   (:class:`repro.kernels.functional.PackedW4AxGEMM`) must agree bit for
+   bit — a one-ulp divergence fails;
 3. the float GEMM the quantization approximates (error-bound check).
 
 It also sanity-checks the timing models (positivity, precision ordering).
@@ -72,7 +73,7 @@ def _check_numerics(report: VerificationReport, rng: np.random.Generator) -> Non
     ref = mixed_precision_matmul(qact, qw)
     packed = PackedW4AxGEMM(qw).run(qact)
     case = f"numerics m={tokens} blocks={nblocks} block={block}"
-    if not np.allclose(packed, ref, rtol=1e-5, atol=1e-5):
+    if not np.array_equal(packed, ref):
         report.failures.append(f"{case}: packed != reference")
     denom = float(np.linalg.norm(x @ w.T)) + 1e-9
     rel = float(np.linalg.norm(ref - x @ w.T)) / denom

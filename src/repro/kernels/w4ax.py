@@ -145,7 +145,7 @@ class W4AxKernel(GEMMKernel):
     def run_reference(
         qact: QuantizedActivation, qweight: QuantizedWeight
     ) -> np.ndarray:
-        """Execute the kernel's numerics exactly (integer per-block GEMM)."""
+        """Execute the kernel's numerics exactly (block-wise integer GEMM)."""
         return mixed_precision_matmul(qact, qweight)
 
     def shape_of(self, qact: QuantizedActivation, qweight: QuantizedWeight) -> GEMMShape:

@@ -47,7 +47,7 @@ METRIC_CATALOG: dict[str, tuple[str, str]] = {
         "gauge", "W4A8 (INT8) k-slice fraction of the last W4Ax GEMM."),
     "kernel.gemm_blocks_batched_total": (
         "counter",
-        "Channel blocks executed through the batched packed-GEMM paths, "
+        "Channel blocks executed by the stacked packed W4Ax GEMM, "
         "by precision (int4/int8)."),
     "kernel.decode_attention_seqs_batched_total": (
         "counter",

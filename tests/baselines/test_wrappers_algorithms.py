@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from gemm_oracle import per_block_gemm, same_bits
 
 from repro.baselines.awq import awq_quantize_weight, awq_search_scale
 from repro.baselines.gptq import gptq_quantize_weight
@@ -15,8 +16,12 @@ from repro.baselines.smoothquant import (
     compute_smoothing_factor,
     smoothquant_linear,
 )
-from repro.baselines.wrappers import DynamicActLinear, WeightOnlyLinear
-from repro.core.intquant import INT4, INT8
+from repro.baselines.wrappers import (
+    DynamicActLinear,
+    SmoothQuantLinear,
+    WeightOnlyLinear,
+)
+from repro.core.intquant import INT4, INT8, quantize_symmetric, symmetric_scale
 from repro.core.weightquant import quantize_weight
 
 
@@ -61,6 +66,33 @@ class TestWrappers:
         # Both share the INT4 weight error; activation INT4 must still
         # clearly dominate on outlier-bearing inputs.
         assert err4 > 2 * err8
+
+    @pytest.mark.parametrize("act_spec", [INT4, INT8])
+    @pytest.mark.parametrize("weight_spec", [INT4, INT8])
+    @pytest.mark.parametrize("smooth", [False, True])
+    def test_dynamic_act_bit_identical_to_per_group_loop(
+        self, layer_data, act_spec, weight_spec, smooth
+    ):
+        """The stacked GEMM stage equals the one-group-at-a-time loop with
+        the token's activation scale shared by every group."""
+        w, x = layer_data
+        qw = quantize_weight(w, group_size=8, spec=weight_spec)
+        bias = np.linspace(-1, 1, 24).astype(np.float32)
+        if smooth:
+            factor = np.linspace(0.5, 2.0, 32).astype(np.float32)
+            lin = SmoothQuantLinear(qw, act_spec, factor, bias=bias)
+            xs = x / factor
+        else:
+            lin = DynamicActLinear(qw, act_spec=act_spec, bias=bias)
+            xs = x
+        a_scale = symmetric_scale(xs, act_spec, axis=-1)
+        assert a_scale.dtype == np.float32
+        codes = quantize_symmetric(xs, a_scale, act_spec)
+        ref = per_block_gemm(
+            codes, np.broadcast_to(a_scale, (len(x), qw.num_groups)), qw
+        ) + bias
+        assert same_bits(lin(x), ref)
+        assert same_bits(lin(x), ref)  # the kept operand changes nothing
 
     def test_dynamic_act_preserves_leading_shape(self, layer_data):
         w, _ = layer_data

@@ -74,7 +74,7 @@ class TestFullPipeline:
         packed = PackedW4AxGEMM(layer.qweight)
         ref = layer.forward(h)
         got = packed.run(qact)
-        np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5)
+        assert np.array_equal(got, ref)
 
     def test_quantized_model_smaller(self, artifacts):
         qm = artifacts["qm"]

@@ -1,13 +1,15 @@
-"""Bit-exactness tests for the batched packed W4Ax GEMM.
+"""Bit-exactness tests for the stacked packed W4Ax GEMM.
 
-``PackedW4AxGEMM.run`` executes all W4A4 blocks in one stacked matmul and
-all W4A8 blocks in another; these tests pin it bitwise to
-``run_per_block`` — the pre-batching one-block-at-a-time loop — across
-random mixed-precision plans, and check the stacked (leading-axis) packing
+``PackedW4AxGEMM.run`` converts the packed weights (fast INT4->INT8
+conversion for W4A8 blocks, nibble unpack for W4A4 blocks) and runs every
+block in one stacked GEMM; these tests pin it bitwise to the
+one-block-at-a-time loop oracle (``tests/gemm_oracle.py``) across random
+mixed-precision plans, and check the stacked (leading-axis) packing
 primitives it is built on.
 """
 
 import numpy as np
+from gemm_oracle import per_block_matmul, same_bits
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,8 +50,9 @@ class TestBatchedBitExactness:
     def test_batched_equals_per_block(self, tokens, nblocks, high_prob, seed):
         """run() is bit-identical to the per-block loop for any plan mix."""
         qw, qact, _ = _setup(tokens, nblocks, 16, 12, high_prob, seed)
-        gemm = PackedW4AxGEMM(qw)
-        assert np.array_equal(gemm.run(qact), gemm.run_per_block(qact))
+        got = PackedW4AxGEMM(qw).run(qact)
+        assert np.array_equal(got, per_block_matmul(qact, qw))
+        assert same_bits(got, per_block_matmul(qact, qw))
 
     @given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -65,8 +68,9 @@ class TestBatchedBitExactness:
     def test_all_low_and_all_high_extremes(self):
         for high_prob in (0.0, 1.0):
             qw, qact, _ = _setup(4, 5, 16, 8, high_prob, seed=11)
-            gemm = PackedW4AxGEMM(qw)
-            assert np.array_equal(gemm.run(qact), gemm.run_per_block(qact))
+            assert same_bits(
+                PackedW4AxGEMM(qw).run(qact), per_block_matmul(qact, qw)
+            )
 
     def test_batched_blocks_counter(self):
         registry, _ = obs.enable()

@@ -1,7 +1,9 @@
 """Tests for the kernel self-verification harness."""
 
+import numpy as np
 import pytest
 
+import repro.kernels.verification as verification
 from repro.kernels.verification import VerificationReport, verify_kernels
 
 
@@ -28,3 +30,18 @@ class TestVerifyKernels:
         assert not report.ok
         assert "FAILED" in report.summary()
         assert "packed != reference" in report.summary()
+
+    def test_one_ulp_divergence_fails(self, monkeypatch):
+        """Packed and reference numerics must agree bit for bit."""
+        run = verification.PackedW4AxGEMM.run
+
+        def off_by_one_ulp(self, qact):
+            out = run(self, qact)
+            out[0, 0] = np.nextafter(out[0, 0], np.float32(np.inf))
+            return out
+
+        monkeypatch.setattr(verification.PackedW4AxGEMM, "run", off_by_one_ulp)
+        report = verify_kernels(cases=3, seed=0)
+        assert not report.ok
+        assert all("packed != reference" in f for f in report.failures)
+        assert len(report.failures) == 3
